@@ -60,7 +60,7 @@ pub fn all() -> Vec<Pass> {
         Pass {
             id: "shard-aliasing",
             summary: "state captured by fleet jobs must flow through \
-                      ShardBuffer/ShardRouter, not ambient mutation",
+                      a ShardBuffer, not ambient mutation",
             check: shard_aliasing,
         },
     ]
@@ -390,10 +390,10 @@ pub fn inventory(ix: &Index<'_>) -> Vec<KeyEntry> {
 
 /// `shard-aliasing`: fleet job closures run on worker lanes; any
 /// mutation of captured state that does not flow through a
-/// `ShardBuffer`/`ShardRouter` races the merge or (worse) introduces
+/// `ShardBuffer` races the merge or (worse) introduces
 /// lane-count-dependent ordering. The parser already excludes
 /// closure-local bindings; here everything else is flagged unless the
-/// mutated binding's name marks it as routed shard state.
+/// mutated binding's name marks it as a shard buffer.
 fn shard_aliasing(ix: &Index<'_>) -> Vec<PassFinding> {
     let mut out = Vec::new();
     for entry in ix.files.iter() {
@@ -405,10 +405,9 @@ fn shard_aliasing(ix: &Index<'_>) -> Vec<PassFinding> {
                 continue;
             }
             for m in &jc.mutations {
-                // `&mut shard_tx` / `router.push(…)`: names that carry
-                // shard/router state are the sanctioned channel.
-                let lower = m.kind.to_lowercase();
-                if lower.contains("shard") || lower.contains("router") {
+                // `&mut shard` / `shard_tx.push(…)`: names that carry
+                // shard-buffer state are the sanctioned channel.
+                if m.kind.to_lowercase().contains("shard") {
                     continue;
                 }
                 out.push(PassFinding {
@@ -416,8 +415,8 @@ fn shard_aliasing(ix: &Index<'_>) -> Vec<PassFinding> {
                     line: m.line,
                     message: format!(
                         "fleet job closure (starting line {}) mutates captured state via {} — \
-                         per-lane effects must flow through ShardBuffer/ShardRouter so the \
-                         deterministic merge sees them in submission order (DESIGN.md §11)",
+                         per-lane effects must flow through a ShardBuffer so the \
+                         deterministic merge sees them in submission order (DESIGN.md §7)",
                         jc.line, m.kind
                     ),
                 });
@@ -575,6 +574,26 @@ mod tests {
         let f = shard_aliasing(&ix);
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].line, 3);
+    }
+
+    #[test]
+    fn captured_router_mutation_is_flagged() {
+        // A binding named `router` is ordinary captured state, not a
+        // sanctioned channel.
+        let files = vec![entry(
+            "crates/net/src/a.rs",
+            "net",
+            "fn f(router: Shared) {\n\
+             let j = Box::new(move || {\n\
+             router.push(1);\n\
+             Box::new(()) as Box<dyn Any + Send>\n\
+             }) as fleet::Job;\n}\n",
+        )];
+        let ix = Index::build(&files);
+        let f = shard_aliasing(&ix);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].line, 3);
+        assert!(f[0].message.contains("router.push"), "{f:?}");
     }
 
     #[test]

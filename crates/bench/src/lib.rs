@@ -24,5 +24,4 @@ pub mod loss_exp;
 pub mod perf;
 pub mod rate_exp;
 pub mod report;
-pub mod seg_exp;
 pub mod sync_exp;

@@ -22,9 +22,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use es_sim::random::{chance, normal, GilbertElliott};
-use es_sim::{
-    fleet, shared, BucketAccumulator, ShardRouter, Shared, Sim, SimDuration, SimTime, TimeSeries,
-};
+use es_sim::{fleet, shared, BucketAccumulator, Shared, Sim, SimDuration, SimTime, TimeSeries};
 use es_telemetry::{Journal, Registry, Severity, ShardBuffer, ShardDrain, Stamp, Telemetry};
 
 /// Identifies a host attached to the LAN.
@@ -315,11 +313,10 @@ struct Node {
     /// flaky NIC or radio link); 0.0 = healthy. One draw per datagram
     /// from the node's private stream, on top of the LAN-wide model.
     degrade_loss: f64,
-    /// Logical engine segment this host's deliveries execute in (see
-    /// `es_sim::shard`). A topology label, fixed per scenario: it must
-    /// not depend on `ES_SIM_SHARDS`, or event sequence numbers — and
-    /// with them the telemetry fingerprints — would shift with the
-    /// shard count.
+    /// LAN segment this host sits on (e.g. "the fleet behind relay
+    /// 2"). A topology label, fixed per scenario: deliveries are
+    /// batched per (arrival instant, segment), so it decides how many
+    /// delivery events a multicast becomes and in which order.
     segment: u32,
 }
 
@@ -346,9 +343,6 @@ struct LanInner {
     /// from scratch on every walk, so drained shards need a home that
     /// outlives the batch; this is it.
     fleet_registry: Registry,
-    /// Deterministic cross-shard channel: every delivery is posted
-    /// into the receiver's segment through here.
-    router: ShardRouter,
 }
 
 /// The LAN fabric. Cheap to clone (shared handle).
@@ -370,7 +364,6 @@ impl Lan {
                 group_bytes: std::collections::BTreeMap::new(),
                 journal: None,
                 fleet_registry: Registry::new(),
-                router: ShardRouter::new(),
             }),
         }
     }
@@ -401,23 +394,17 @@ impl Lan {
         NodeId(inner.nodes.len() as u32 - 1)
     }
 
-    /// Assigns `node` to a logical engine segment; its deliveries are
-    /// scheduled into that segment from now on. Segments are topology
-    /// (e.g. "the fleet behind relay 2"), set once at build time: they
-    /// must not be derived from the shard count.
+    /// Assigns `node` to a LAN segment; from now on its deliveries are
+    /// batched with the other receivers on that segment. Segments are
+    /// topology (e.g. "the fleet behind relay 2"), set once at build
+    /// time.
     pub fn set_segment(&self, node: NodeId, segment: u32) {
         self.inner.borrow_mut().nodes[node.0 as usize].segment = segment;
     }
 
-    /// The logical engine segment `node` is assigned to (0 = default).
+    /// The LAN segment `node` is assigned to (0 = default).
     pub fn segment(&self, node: NodeId) -> u32 {
         self.inner.borrow().nodes[node.0 as usize].segment
-    }
-
-    /// Posts scheduled through the LAN's cross-shard channel that
-    /// crossed a segment boundary (engine diagnostics).
-    pub fn cross_segment_posts(&self) -> u64 {
-        self.inner.borrow().router.cross_posts()
     }
 
     /// The host's display name.
@@ -848,42 +835,35 @@ impl Lan {
         // out across the fleet executor. Distinct arrival times
         // (jitter, reordering, duplicates) each get their own
         // singleton batch, preserving the old per-delivery schedule
-        // exactly. The segment key is part of the split because a
-        // batch executes in its receivers' segment: segments are fixed
-        // topology labels, so the same events — with the same sequence
-        // numbers — are created at every shard count.
+        // exactly. Receivers on different segments (behind different
+        // relays) get separate batches even at the same instant; the
+        // segments are fixed topology labels, so the split — and with
+        // it the event sequence — is a function of the scenario alone.
         // es-allow(hot-path-transitive): per-datagram delivery batching in the simulator, costed by the sim model, not lane DSP
-        let mut batches: Vec<(SimTime, u32, Vec<u32>)> = Vec::new();
+        let mut batches: Vec<(SimTime, Vec<u32>)> = Vec::new();
         let mut index: std::collections::BTreeMap<(SimTime, u32), usize> =
             std::collections::BTreeMap::new();
-        let (router, segments): (ShardRouter, Vec<u32>) = {
+        {
             let inner = self.inner.borrow();
-            (
-                inner.router.clone(),
-                receivers
-                    .iter()
-                    .map(|&(r, _)| inner.nodes[r as usize].segment)
+            for &(r, offset) in &receivers {
+                let seg = inner.nodes[r as usize].segment;
+                let at = deliver_at_base + offset;
+                let i = *index.entry((at, seg)).or_insert_with(|| {
                     // es-allow(hot-path-transitive): per-datagram delivery batching in the simulator, not lane DSP
-                    .collect(),
-            )
-        };
-        for (&(r, offset), &seg) in receivers.iter().zip(&segments) {
-            let at = deliver_at_base + offset;
-            let i = *index.entry((at, seg)).or_insert_with(|| {
-                // es-allow(hot-path-transitive): per-datagram delivery batching in the simulator, not lane DSP
-                batches.push((at, seg, Vec::new()));
-                batches.len() - 1
-            });
-            batches[i].2.push(r);
+                    batches.push((at, Vec::new()));
+                    batches.len() - 1
+                });
+                batches[i].1.push(r);
+            }
         }
-        for (at, seg, rs) in batches {
+        for (at, rs) in batches {
             let lan = lan.clone();
             let dg = Datagram {
                 src: from,
                 dst,
                 payload: payload.clone(),
             };
-            router.post(sim, seg, at, move |sim| lan.deliver_batch(sim, &rs, dg));
+            sim.schedule_at(at, move |sim| lan.deliver_batch(sim, &rs, dg));
         }
     }
 

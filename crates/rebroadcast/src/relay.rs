@@ -33,9 +33,9 @@
 //! re-sign — is forwarded verbatim and counted as opaque.
 //!
 //! The relay's LAN node is pinned to its segment
-//! ([`Lan::set_segment`]), so the upstream hand-off is one
-//! cross-shard post into the relay and everything downstream of it
-//! stays inside the segment's shard.
+//! ([`Lan::set_segment`]), a topology label the LAN batches
+//! deliveries by: receivers on one segment that share an arrival
+//! instant get one delivery event.
 
 use std::collections::BTreeMap;
 
@@ -58,7 +58,7 @@ pub struct RelayConfig {
     pub upstream: McastGroup,
     /// Group the relay re-multicasts on; its fleet tunes here.
     pub downstream: McastGroup,
-    /// Logical engine segment of this relay and its fleet.
+    /// LAN segment of this relay and its fleet.
     pub segment: u32,
     /// Hold window: each packet is forwarded `hold` after arrival and
     /// its timeline fields shifted by the same amount. Small enough to
@@ -166,7 +166,7 @@ impl SegmentRelay {
         self.node
     }
 
-    /// The logical segment this relay (and its fleet) runs in.
+    /// The LAN segment this relay (and its fleet) sits on.
     pub fn segment(&self) -> u32 {
         self.config_segment
     }

@@ -6,7 +6,7 @@
 //! other simulated subsystem builds on:
 //!
 //! - [`SimTime`]/[`SimDuration`]: nanosecond virtual time.
-//! - [`Sim`]: the event engine (closure events, cancellable, seeded RNG).
+//! - [`Sim`]: the event engine (closure events, one queue, seeded RNG).
 //! - [`RepeatingTimer`]: cancellable periodic callbacks.
 //! - [`TimeSeries`]/[`BucketAccumulator`]: experiment output series and
 //!   `vmstat`-style interval sampling.
@@ -26,11 +26,9 @@ pub mod fleet;
 pub mod random;
 pub mod sched;
 pub mod series;
-pub mod shard;
 pub mod time;
 
 pub use cpu::{CostModel, SimCpu};
-pub use engine::{shared, EventId, RepeatingTimer, Shared, Sim};
+pub use engine::{shared, RepeatingTimer, ShardTiming, Shared, Sim};
 pub use series::{BucketAccumulator, TimeSeries};
-pub use shard::{ShardRouter, ShardTiming};
 pub use time::{SimDuration, SimTime};

@@ -89,28 +89,9 @@ else
     ES_BENCH_QUICK=1 cargo bench -q -p es-bench --bench dsp
 fi
 
-# Sharded-engine smoke: quick sweep of the segments bench ({100, 400}
-# speakers × 1/2/4 event shards behind four relays). The binary exits
-# non-zero on zero/NaN metrics, a malformed report, or a >20%
-# `pipeline` regression against the dsp baseline. Unlike the other
-# baselines the committed BENCH_PR9.json is a *full* run — the
-# 10k-speaker tier is the point (EXPERIMENTS.md, "segments") — so the
-# quick report is archived under results/ and the committed report is
-# put back afterwards.
-echo "== segments smoke (ES_BENCH_QUICK=1, pipeline regression is fatal)"
-cp BENCH_PR9.json results/BENCH_PR9.committed.json
-if [ -f BENCH_PR6.json ]; then
-    ES_BENCH_QUICK=1 ES_BENCH_BASELINE="$(pwd)/BENCH_PR6.json" \
-        cargo bench -q -p es-bench --bench segments
-else
-    ES_BENCH_QUICK=1 cargo bench -q -p es-bench --bench segments
-fi
-cp BENCH_PR9.json results/BENCH_PR9.quick.json
-mv results/BENCH_PR9.committed.json BENCH_PR9.json
-
 # Archive this run's bench reports; the repo-root copies are the
 # committed baselines and get refreshed deliberately, not per run.
-cp BENCH_PR3.json BENCH_PR4.json BENCH_PR6.json BENCH_PR9.json results/
+cp BENCH_PR3.json BENCH_PR4.json BENCH_PR6.json results/
 
 # Chaos determinism gate: the conformance suite already runs every
 # scenario twice in-process; here the whole suite runs twice in
@@ -133,18 +114,6 @@ rm -rf target/chaos-fleet
 ES_FLEET_THREADS=4 ES_CHAOS_SEED=7 ES_CHAOS_FP_DIR=target/chaos-fleet cargo test -q --test chaos
 diff -r target/chaos-a target/chaos-fleet || {
     echo "fleet execution is audible: fingerprints differ between 1 and 4 decode lanes" >&2
-    exit 1
-}
-
-# Shard determinism gate: the same suite once more with the event
-# engine partitioned into 4 shards. The conservative-lookahead merge
-# must be inaudible — the telemetry fingerprints have to match the
-# single-shard runs above byte for byte (see DESIGN.md §11).
-echo "== chaos determinism (ES_SIM_SHARDS=4)"
-rm -rf target/chaos-shards
-ES_SIM_SHARDS=4 ES_CHAOS_SEED=7 ES_CHAOS_FP_DIR=target/chaos-shards cargo test -q --test chaos
-diff -r target/chaos-a target/chaos-shards || {
-    echo "event sharding is audible: fingerprints differ between 1 and 4 shards" >&2
     exit 1
 }
 

@@ -419,62 +419,3 @@ fn heal_actions_are_deterministic() {
     }
     es_sim::fleet::set_threads(0);
 }
-
-/// The same contract against the sharded event engine: every healing
-/// scenario — FEC upshift, NACK refill, failover, flap damping — must
-/// be *inaudible to the shard count*. The same seed on 1, 2 and 4
-/// event shards has to produce bit-identical trace fingerprints and
-/// identical per-speaker `samples_played`. Reproduce a failure with
-/// e.g. `ES_SIM_SHARDS=4 cargo test --test healing heal_actions`.
-#[test]
-fn heal_actions_are_shard_invariant() {
-    let scenarios = [
-        sick_receiver_fec_upshift_scenario(),
-        neighbor_retransmit_scenario(),
-        producer_failover_scenario(61),
-        flapping_receiver_scenario(),
-    ];
-    for sc in &scenarios {
-        let mut baseline: Option<(Trace, Vec<(String, u64)>)> = None;
-        for shards in [1usize, 2, 4] {
-            es_sim::shard::set_shards(shards);
-            let trace = sc.run();
-            let played: Vec<(String, u64)> = trace
-                .final_probe()
-                .metrics
-                .iter()
-                .filter(|m| m.key.component == "speaker" && m.key.name == "samples_played")
-                .map(|m| {
-                    let count = match m.value {
-                        es_telemetry::MetricValue::Counter(c) => c,
-                        ref other => panic!("samples_played is {}", other.kind()),
-                    };
-                    (m.key.instance.clone(), count)
-                })
-                .collect();
-            assert!(
-                !played.is_empty(),
-                "{}: probe saw no speakers",
-                trace.repro()
-            );
-            match &baseline {
-                None => baseline = Some((trace, played)),
-                Some((base, base_played)) => {
-                    assert_eq!(
-                        base.fingerprint(),
-                        trace.fingerprint(),
-                        "{}: fingerprint diverges between 1 and {shards} shards",
-                        trace.repro(),
-                    );
-                    assert_eq!(
-                        base_played,
-                        &played,
-                        "{}: samples_played diverges between 1 and {shards} shards",
-                        trace.repro(),
-                    );
-                }
-            }
-        }
-    }
-    es_sim::shard::set_shards(0);
-}

@@ -1,11 +1,10 @@
 //! Segment-relay integration tier: the §4.4 hierarchical rebroadcast
 //! topology (producer → segment relay → downstream speakers) built
 //! through [`SystemBuilder`], proven to play, to stay within the
-//! paper's sync bounds, and — the PR 9 contract — to be *inaudible to
-//! the event-shard count*: the same seed at `ES_SIM_SHARDS` 1, 2 and
-//! 4 must produce byte-identical telemetry and identical per-speaker
-//! `samples_played`. Reproduce a failure with e.g.
-//! `ES_SIM_SHARDS=4 cargo test --test segments`.
+//! paper's sync bounds, and to be deterministic: two runs of the same
+//! seed must produce byte-identical telemetry and identical
+//! per-speaker `samples_played`. No chaos scenario builds a relay, so
+//! this is where relay determinism is checked.
 
 use es_core::{ChannelSpec, RelaySpec, SpeakerSpec, SystemBuilder};
 use es_net::McastGroup;
@@ -17,11 +16,9 @@ const DOWNSTREAM: McastGroup = McastGroup(101);
 
 /// One producer on the backbone (segment 0), one speaker listening
 /// there directly, a relay re-multicasting into segment 1, and two
-/// speakers on the relayed group. `shards` picks the engine partition
-/// count explicitly so the sweep does not depend on the environment.
-fn relayed_system(shards: usize) -> es_core::EsSystem {
+/// speakers on the relayed group.
+fn relayed_system() -> es_core::EsSystem {
     SystemBuilder::new(23)
-        .sim_shards(shards)
         .channel(
             ChannelSpec::new(1, UPSTREAM, "radio")
                 .policy(CompressionPolicy::Always {
@@ -57,7 +54,7 @@ fn observe(sys: &es_core::EsSystem) -> (Vec<(String, u64)>, String) {
 
 #[test]
 fn relayed_fleet_plays_on_both_segments() {
-    let mut sys = relayed_system(2);
+    let mut sys = relayed_system();
     sys.run_for(SimDuration::from_secs(4));
     let (played, _) = observe(&sys);
     assert_eq!(played.len(), 3, "{played:?}");
@@ -72,33 +69,20 @@ fn relayed_fleet_plays_on_both_segments() {
     assert!(stats.data_relayed > 30, "{stats:?}");
     assert!(stats.control_relayed > 0, "{stats:?}");
     assert_eq!(stats.parity_stale, 0, "clean link must not stale parity");
-    // Crossing the producer→segment-1 boundary goes through the
-    // deterministic channel; the router must have seen it.
-    assert!(sys.lan().cross_segment_posts() > 0);
 }
 
 #[test]
-fn relayed_topology_is_shard_invariant() {
-    let mut baseline: Option<(Vec<(String, u64)>, String)> = None;
-    for shards in [1usize, 2, 4] {
-        let mut sys = relayed_system(shards);
+fn relayed_topology_is_deterministic() {
+    let run = || {
+        let mut sys = relayed_system();
         sys.run_for(SimDuration::from_secs(4));
-        let (played, lines) = observe(&sys);
-        assert!(!played.is_empty(), "{shards} shards: no speakers probed");
-        match &baseline {
-            None => baseline = Some((played, lines)),
-            Some((base_played, base_lines)) => {
-                assert_eq!(
-                    base_played, &played,
-                    "samples_played diverges between 1 and {shards} shards"
-                );
-                assert_eq!(
-                    base_lines, &lines,
-                    "telemetry diverges between 1 and {shards} shards"
-                );
-            }
-        }
-    }
+        observe(&sys)
+    };
+    let (played_a, lines_a) = run();
+    let (played_b, lines_b) = run();
+    assert_eq!(played_a.len(), 3, "{played_a:?}");
+    assert_eq!(played_a, played_b, "samples_played diverges between runs");
+    assert_eq!(lines_a, lines_b, "telemetry diverges between runs");
 }
 
 #[test]
@@ -107,7 +91,7 @@ fn relay_hold_preserves_downstream_sync() {
     // speakers lock to the *relay's* timeline and still land within
     // the paper's 60 ms bound of each other and of the backbone
     // (hold defaults to 2 ms — far inside the bound).
-    let mut sys = relayed_system(2);
+    let mut sys = relayed_system();
     sys.run_for(SimDuration::from_secs(4));
     let first_block = |i: usize| {
         sys.speaker(i)
